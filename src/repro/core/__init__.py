@@ -17,6 +17,7 @@ from repro.core.parameters import (
     Parameter,
     make_constraint,
 )
+from repro.core.pool import CandidatePool
 from repro.core.serialize import (
     configuration_from_dict,
     dumps,
@@ -50,6 +51,7 @@ __all__ = [
     "Budget",
     "CATEGORIES",
     "Candidate",
+    "CandidatePool",
     "CategoricalParameter",
     "Configuration",
     "ConfigurationSpace",

@@ -9,18 +9,27 @@ The numeric encoding contract is central: every parameter can map its
 values into the unit interval ``[0, 1]`` (``to_unit``) and back
 (``from_unit``).  Search algorithms operate on unit-scaled vectors and
 remain agnostic of units, log scales, and integrality; the space handles
-rounding and snapping.
+rounding and snapping.  Column-wise counterparts (``from_unit_array``,
+``to_unit_array`` and the categorical index forms) decode and encode
+whole candidate pools bit-identically; see :mod:`repro.core.pool`.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+    Optional, Sequence,
+)
 
 import numpy as np
 
+from repro.core.exact import builtin_max, builtin_min, emap
 from repro.exceptions import ConstraintViolation, ParameterError, ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.pool import CandidatePool
 
 __all__ = [
     "Parameter",
@@ -156,6 +165,36 @@ class NumericParameter(Parameter):
             v = self.low + u * (self.high - self.low)
         return self.validate(min(self.high, max(self.low, v)))
 
+    def from_unit_array(self, u: np.ndarray) -> np.ndarray:
+        """Column-wise :meth:`from_unit`, bit-identical per element.
+
+        Returns float64 values, or int64 values for integer knobs.  The
+        linear map, clipping and rounding are exact in numpy; the log
+        map calls ``math.exp`` per element through
+        :func:`~repro.core.exact.emap`, as :meth:`from_unit` does.
+        """
+        u = builtin_min(1.0, builtin_max(0.0, np.asarray(u, dtype=float)))
+        if self.log_scale:
+            log_low = math.log(self.low)
+            v = emap(math.exp, log_low + u * (math.log(self.high) - log_low))
+        else:
+            v = self.low + u * (self.high - self.low)
+        v = builtin_min(self.high, builtin_max(self.low, v))
+        if not self.integer:
+            return v
+        v = builtin_min(
+            math.floor(self.high), builtin_max(math.ceil(self.low), np.rint(v))
+        )
+        return v.astype(np.int64)
+
+    def to_unit_array(self, values: np.ndarray) -> np.ndarray:
+        """Column-wise :meth:`to_unit` of already-valid values."""
+        v = np.asarray(values, dtype=float)
+        if self.log_scale:
+            log_low = math.log(self.low)
+            return (emap(math.log, v) - log_low) / (math.log(self.high) - log_low)
+        return (v - self.low) / (self.high - self.low)
+
     def sample(self, rng: np.random.Generator) -> Any:
         return self.from_unit(float(rng.random()))
 
@@ -200,14 +239,27 @@ class CategoricalParameter(Parameter):
 
     def to_unit(self, value: Any) -> float:
         idx = self.choices.index(self.validate(value))
-        if len(self.choices) == 1:
-            return 0.0
         return idx / (len(self.choices) - 1)
 
     def from_unit(self, u: float) -> Any:
         u = min(1.0, max(0.0, float(u)))
         idx = int(round(u * (len(self.choices) - 1)))
         return self.choices[idx]
+
+    def index_from_unit_array(self, u: np.ndarray) -> np.ndarray:
+        """Column-wise :meth:`from_unit`, as int64 indices into ``choices``."""
+        u = builtin_min(1.0, builtin_max(0.0, np.asarray(u, dtype=float)))
+        return np.rint(u * (len(self.choices) - 1)).astype(np.int64)
+
+    def unit_from_index_array(self, idx: np.ndarray) -> np.ndarray:
+        """Column-wise :meth:`to_unit` of ``choices[idx]``.
+
+        :meth:`to_unit` encodes the *first* choice equal to the value,
+        so a choice equal to an earlier one (``0`` and ``False``) encodes
+        as that earlier one here too.
+        """
+        first = np.array([self.choices.index(c) for c in self.choices])
+        return first[np.asarray(idx)] / (len(self.choices) - 1)
 
     def sample(self, rng: np.random.Generator) -> Any:
         return self.choices[int(rng.integers(len(self.choices)))]
@@ -334,6 +386,7 @@ class ConfigurationSpace:
         self.name = name
         self._params: Dict[str, Parameter] = {}
         self._constraints: List[Constraint] = []
+        self._pool_layout = None  # built on the first sample_pool call
         for p in parameters:
             self.add(p)
         for c in constraints:
@@ -344,6 +397,7 @@ class ConfigurationSpace:
         if parameter.name in self._params:
             raise ParameterError(f"duplicate parameter {parameter.name!r}")
         self._params[parameter.name] = parameter
+        self._pool_layout = None
         return self
 
     def add_constraint(self, constraint: Constraint) -> "ConfigurationSpace":
@@ -457,6 +511,24 @@ class ConfigurationSpace:
         self, n: int, rng: np.random.Generator
     ) -> List[Configuration]:
         return [self.sample_configuration(rng) for _ in range(n)]
+
+    def sample_pool(
+        self, n: int, rng: np.random.Generator, max_tries: int = 256
+    ) -> "CandidatePool":
+        """The feasible results of ``n`` :meth:`sample_configuration` calls.
+
+        Calls that exhaust ``max_tries`` are skipped.  The result is a
+        :class:`~repro.core.pool.CandidatePool`: the candidates' unit
+        matrix ``X``, with each :class:`Configuration` built only when
+        indexed.  Configurations, their order and ``rng``'s state
+        afterwards are exactly those of the scalar loop; see
+        :mod:`repro.core.pool` for how.
+        """
+        from repro.core import pool
+
+        if self._pool_layout is None:
+            self._pool_layout = pool.PoolLayout(self.parameters())
+        return pool.sample_pool(self, self._pool_layout, n, rng, max_tries)
 
     # -- derived spaces -----------------------------------------------------
     def subspace(self, names: Sequence[str], name: str = "") -> "ConfigurationSpace":

@@ -11,15 +11,18 @@ CPython's ``math.*``/``float.__pow__`` (which call libm per element) in
 the last ulp.  Every config-dependent transcendental therefore goes
 through :func:`emap`/:func:`emap_where`, which apply the scalar
 function per element — slower than a SIMD call but still one Python
-loop per *call site* instead of one per configuration.
+loop per *call site* instead of one per configuration.  Both live in
+:mod:`repro.core.exact`, shared with the configuration space's
+column-wise decode, and are re-exported here for the kernels.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.core.exact import emap, emap_where
 from repro.core.measurement import Measurement
 from repro.core.parameters import Configuration
 
@@ -34,45 +37,6 @@ __all__ = [
     "metrics_row",
     "measurements_from_columns",
 ]
-
-
-def emap(fn: Callable[..., float], *args) -> np.ndarray:
-    """Apply a scalar float function elementwise, bit-identically.
-
-    ``args`` are 1-D arrays (or scalars, broadcast); each output element
-    is ``fn(*row)`` computed on Python floats, exactly as the scalar
-    engine would.
-    """
-    arrs = [np.asarray(a, dtype=float) for a in args]
-    shape = np.broadcast_shapes(*(a.shape for a in arrs))
-    count = int(np.prod(shape)) if shape else 1
-    if len(arrs) == 1:
-        col = np.broadcast_to(arrs[0], shape).tolist()
-        return np.fromiter(map(fn, col), dtype=float, count=count)
-    cols = [np.broadcast_to(a, shape).tolist() for a in arrs]
-    return np.fromiter(map(fn, *cols), dtype=float, count=count)
-
-
-def emap_where(
-    mask, fn: Callable[..., float], *args, fill: float = 0.0
-) -> np.ndarray:
-    """:func:`emap` restricted to ``mask`` rows; ``fill`` elsewhere.
-
-    Lets kernels mirror scalar branches guarded by conditions under
-    which ``fn`` may be undefined (``log`` of values <= 1, division by a
-    dead row's zero denominator).
-    """
-    mask = np.asarray(mask, dtype=bool)
-    out = np.full(mask.shape, fill, dtype=float)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return out
-    arrs = [
-        np.broadcast_to(np.asarray(a, dtype=float), mask.shape) for a in args
-    ]
-    cols = [a[idx].tolist() for a in arrs]
-    out[idx] = np.fromiter(map(fn, *cols), dtype=float, count=idx.size)
-    return out
 
 
 def knob_floats(configs: Sequence[Configuration], name: str) -> np.ndarray:

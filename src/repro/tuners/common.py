@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core.measurement import Measurement, TuningHistory
 from repro.core.parameters import Configuration, ConfigurationSpace
+from repro.core.pool import CandidatePool
 from repro.core.session import TuningSession
 
 __all__ = [
@@ -183,22 +184,19 @@ def candidate_pool(
     n_random: int = 256,
     anchors: Optional[List[Configuration]] = None,
     jitter: float = 0.08,
-) -> List[Configuration]:
+) -> CandidatePool:
     """Random candidates plus local perturbations of anchor configs.
 
     The mix lets acquisition optimizers both explore globally and refine
     around incumbents; infeasible decodes are repaired toward feasible
-    neighbors.
+    neighbors.  Acquisition functions score the pool's unit matrix
+    ``X``; indexing the pool builds the proposed configuration.
     """
-    candidates: List[Configuration] = []
-    for _ in range(n_random):
-        try:
-            candidates.append(space.sample_configuration(rng))
-        except Exception:
-            continue
+    pool = space.sample_pool(n_random, rng)
+    local: List[Configuration] = []
     for anchor in anchors or []:
         base = anchor.to_array()
         for _ in range(16):
             x = np.clip(base + rng.normal(scale=jitter, size=base.shape), 0.0, 1.0)
-            candidates.append(space.from_array_feasible(x, rng))
-    return candidates
+            local.append(space.from_array_feasible(x, rng))
+    return pool.extend(local)

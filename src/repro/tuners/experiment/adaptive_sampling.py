@@ -73,7 +73,7 @@ class AdaptiveSamplingTuner(SearchTuner):
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
+        Xc = candidates.X
         mean, spread = forest.predict_std(Xc)
         # Lower predicted runtime and higher uncertainty both score;
         # the weight anneals toward exploitation as data accumulates.

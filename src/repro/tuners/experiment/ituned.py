@@ -140,7 +140,7 @@ class ITunedTuner(SearchTuner):
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
+        Xc = candidates.X
         mean, std = gp.predict(Xc, return_std=True)
         ei = expected_improvement(mean, std, best, xi=self.xi)
         step = self._step

@@ -83,7 +83,7 @@ class EnsembleTuner(SearchTuner):
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
+        Xc = candidates.X
         mean, disagreement = self._committee_predict(
             X, y, Xc, seed=int(rng.integers(1 << 30))
         )

@@ -85,7 +85,7 @@ class BayesOptTuner(SearchTuner):
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
+        Xc = candidates.X
         idx, _ = maximize_acquisition(
             gp, float(np.log(state.best_runtime())), Xc,
             kind=self.acquisition, xi=self.xi, kappa=self.kappa,

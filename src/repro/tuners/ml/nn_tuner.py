@@ -76,7 +76,7 @@ class NeuralNetTuner(SearchTuner):
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
+        Xc = candidates.X
         pred = model.predict(Xc)
         step = self._step
         self._step += 1

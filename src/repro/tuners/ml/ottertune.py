@@ -421,7 +421,7 @@ class OtterTuneTuner(SearchTuner):
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])[:, self._knob_idx]
+        Xc = candidates.X[:, self._knob_idx]
         mean, std = gp.predict(Xc, return_std=True)
         ei = expected_improvement(mean, std, best)
         step = self._step
