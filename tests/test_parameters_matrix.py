@@ -254,15 +254,28 @@ class TestFallbackPaths:
         index, rejected = lemire(np.array([2**31]), np.array([3]))
         assert index.tolist() == [1] and not rejected.any()
 
-    def test_flagged_rejection_falls_back_to_scalar_loop(self, monkeypatch):
-        def reject_everything(u32, k):
-            index, _ = lemire(u32, k)
-            return index, np.ones(index.shape, dtype=bool)
+    @pytest.mark.parametrize("row, falls_back", [(5, True), (-1, False)])
+    def test_flagged_rejection_falls_back_only_inside_consumed_rows(
+        self, row, falls_back, monkeypatch
+    ):
+        def reject_one_row(u32, k):
+            index, rejected = lemire(u32, k)
+            rejected[row] = True
+            return index, rejected
 
-        monkeypatch.setattr(pool_module, "lemire", reject_everything)
+        calls = []
+        scalar = pool_module.scalar_pool
+        monkeypatch.setattr(pool_module, "lemire", reject_one_row)
+        monkeypatch.setattr(
+            pool_module, "scalar_pool",
+            lambda *args, **kw: calls.append(1) or scalar(*args, **kw),
+        )
+        # Spark has no constraint that binds, so 40 samples consume 40
+        # attempts and the block's last attempt is drawn but not used.
         space = make_system("spark").config_space
         matrix_rng, scalar_rng = np.random.default_rng(9), np.random.default_rng(9)
         pool = space.sample_pool(40, matrix_rng)
+        assert calls == ([1] if falls_back else [])
         assert_pool_matches(pool, scalar_reference(space, 40, scalar_rng), space)
         assert generator_state(matrix_rng) == generator_state(scalar_rng)
 
