@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+#: Metric-name tuples whose vectors one fingerprint keeps cached.
+_VECTOR_CACHE_SLOTS = 4
+
+
 @dataclass(frozen=True)
 class WorkloadFingerprint:
     """Probe-run characterization of (system, workload).
@@ -58,6 +62,28 @@ class WorkloadFingerprint:
     def vector(self, names: Sequence[str]) -> np.ndarray:
         return np.array([float(self.metrics.get(n, 0.0)) for n in names],
                         dtype=float)
+
+    def cached_vector(self, names: Tuple[str, ...]) -> np.ndarray:
+        """:meth:`vector` memoized per metric-name tuple (read-only).
+
+        Stored fingerprints are ranked against every similarity request,
+        almost always with the same name tuple, so their vectors are
+        built once.  Only the last ``_VECTOR_CACHE_SLOTS`` tuples are
+        kept: request bodies choose the names and must not be able to
+        grow a stored fingerprint's memory.
+        """
+        cache = self.__dict__.get("_vectors")
+        vec = None if cache is None else cache.get(names)
+        if vec is None:
+            vec = self.vector(names)
+            vec.setflags(write=False)
+            if cache is None or len(cache) >= _VECTOR_CACHE_SLOTS:
+                # a fresh dict, never an in-place eviction: readers in
+                # other threads may be looking the old one up right now
+                cache = {}
+                self.__dict__["_vectors"] = cache
+            cache[names] = vec
+        return vec
 
     def to_jsonable(self) -> Dict[str, Any]:
         runtime = self.probe_runtime_s
@@ -137,28 +163,29 @@ def rank_similar(
     """
     if not candidates:
         return []
-    names = sorted(target.metrics)
-    rows = [fp.vector(names) for _, fp in candidates]
-    matrix = np.vstack(rows + [target.vector(names)]) if names else np.zeros(
-        (len(rows) + 1, 0)
-    )
+    names = tuple(sorted(target.metrics))
     if names:
+        matrix = np.vstack(
+            [fp.cached_vector(names) for _, fp in candidates]
+            + [target.vector(names)]
+        )
         matrix = StandardScaler().fit_transform(matrix)
-    target_row = matrix[-1]
+        # one row-wise reduction; each row sums exactly as a 1-D mean does
+        metric_d2 = np.mean((matrix[:-1] - matrix[-1]) ** 2, axis=1).tolist()
+    else:
+        metric_d2 = [0.0] * len(candidates)
     dim = max(len(names), 1)
+    target_ok = (
+        math.isfinite(target.probe_runtime_s) and target.probe_runtime_s > 0
+    )
     scored: List[Tuple[Any, float]] = []
-    for (key, fp), row in zip(candidates, matrix[:-1]):
-        metric_d2 = float(np.mean((row - target_row) ** 2)) if names else 0.0
-        if (
-            math.isfinite(target.probe_runtime_s)
-            and math.isfinite(fp.probe_runtime_s)
-            and target.probe_runtime_s > 0
-            and fp.probe_runtime_s > 0
-        ):
-            ratio = math.log(fp.probe_runtime_s / target.probe_runtime_s)
+    for (key, fp), d2 in zip(candidates, metric_d2):
+        runtime = fp.probe_runtime_s
+        if target_ok and math.isfinite(runtime) and runtime > 0:
+            ratio = math.log(runtime / target.probe_runtime_s)
         else:
             ratio = 4.0  # unknown scale: heavily penalized, never excluded
-        distance = math.sqrt(metric_d2 + runtime_weight * ratio * ratio / dim)
+        distance = math.sqrt(d2 + runtime_weight * ratio * ratio / dim)
         scored.append((key, distance))
     scored.sort(key=lambda kv: kv[1])
     return scored

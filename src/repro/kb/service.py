@@ -125,6 +125,17 @@ def _parse_k(request: Mapping[str, Any]) -> int:
     return k
 
 
+def _indexed(
+    records: List[SessionRecord],
+) -> List[Tuple[SessionRecord, WorkloadFingerprint]]:
+    """The similarity index's (record, fingerprint) pairs for records."""
+    return [
+        (record, record.fingerprint)
+        for record in records
+        if record.fingerprint is not None
+    ]
+
+
 class RecommendationService:
     """Query engine behind the HTTP endpoints (usable in-process too).
 
@@ -170,13 +181,20 @@ class RecommendationService:
     def _fingerprint_index(
         self,
     ) -> List[Tuple[SessionRecord, WorkloadFingerprint]]:
-        """(record, fingerprint) pairs, rebuilt only when the KB changed.
+        """(record, fingerprint) pairs, newest first, updated only when
+        the KB changed.
 
         The returned list is shared between threads and must be treated
-        as immutable.  Rebuilds run outside ``_index_lock`` — readers
+        as immutable.  Updates run outside ``_index_lock`` — readers
         of the current index never block behind a ``kb.sessions()``
         scan — and are serialized on a dedicated build lock so a
         thundering herd after an ingest does one scan, not hundreds.
+
+        A pure append is read incrementally: from version ``(c0, m0)``
+        to ``(c1, m1)``, only sessions with ``m0 < id <= m1`` are
+        fetched and put in front of the old index.  Ids only grow, so
+        finding exactly ``c1 - c0`` of them proves no old session was
+        removed; any other change rebuilds from a full scan.
         """
         version = self.kb.version()
         with self._index_lock:
@@ -187,11 +205,20 @@ class RecommendationService:
             with self._index_lock:
                 if version == self._index_version:
                     return self._index  # rebuilt while we waited
-            index = [
-                (record, record.fingerprint)
-                for record in self.kb.sessions()
-                if record.fingerprint is not None
-            ]
+                old, old_version = self._index, self._index_version
+            index = None
+            if old_version is not None and version[1] > old_version[1]:
+                added = [
+                    record
+                    for record in self.kb.sessions(after_id=old_version[1])
+                    if record.session_id <= version[1]
+                ]
+                if len(added) == version[0] - old_version[0]:
+                    index = _indexed(added) + old
+                    global_metrics().inc("kb.index.incremental")
+            if index is None:
+                index = _indexed(self.kb.sessions())
+                global_metrics().inc("kb.index.rebuild")
             with self._index_lock:
                 self._index = index
                 self._index_version = version
@@ -526,6 +553,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: Socket timeout — a stalled client cannot pin a connection
     #: thread (or an rfile.read) forever.
     timeout = 60
+    #: TCP_NODELAY: a reply leaves at once instead of waiting on Nagle
+    #: for the client's (delayed) ACK of the previous segment.
+    disable_nagle_algorithm = True
 
     server: ServingHTTPServer
 
@@ -723,8 +753,10 @@ class _Handler(BaseHTTPRequestHandler):
             if close:
                 self.send_header("Connection", "close")
                 self.close_connection = True
-            self.end_headers()
-            self.wfile.write(data)
+            # status line, headers and body in one write: end_headers()
+            # would send the header block on its own, a separate segment
+            self._headers_buffer.extend((b"\r\n", data))
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError, TimeoutError, OSError):
             # the client went away mid-reply; nothing to answer anymore
             global_metrics().inc("kb.serve.client_disconnects")

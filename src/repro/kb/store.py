@@ -401,12 +401,16 @@ class KnowledgeBase:
         system_kind: Optional[str] = None,
         workload_name: Optional[str] = None,
         space_names: Optional[Sequence[str]] = None,
+        after_id: Optional[int] = None,
     ) -> List[SessionRecord]:
         """Stored sessions, newest first, optionally filtered.
 
         ``space_names`` restricts to sessions recorded against exactly
         that knob catalog — transfer across incompatible spaces is
-        meaningless, so every consumer filters on it.
+        meaningless, so every consumer filters on it.  ``after_id``
+        returns only sessions with a larger id: ids only grow, so these
+        are the sessions stored since that id was the newest (the
+        service's incremental index reads just those).
         """
         query = (
             "SELECT id, system_kind, system_name, workload_name, tuner_name,"
@@ -420,6 +424,9 @@ class KnowledgeBase:
         if workload_name is not None:
             clauses.append("workload_name = ?")
             params.append(workload_name)
+        if after_id is not None:
+            clauses.append("id > ?")
+            params.append(int(after_id))
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY id DESC"

@@ -30,8 +30,10 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.parameters import Configuration, ConfigurationSpace
+from repro.exceptions import ValidationError
 from repro.kb.fingerprint import WorkloadFingerprint
 from repro.kb.warmstart import PriorObservation
+from repro.obs.metrics import global_metrics
 from repro.surrogate.trainer import TrainedSurrogate
 
 __all__ = [
@@ -105,7 +107,7 @@ def _snap(
     for row in unit_rows:
         try:
             config = space.from_array(np.clip(row, 0.0, 1.0))
-        except Exception:
+        except ValidationError:  # infeasible row (ConstraintViolation too)
             continue
         key = config.to_array().tobytes()
         if key in seen:
@@ -113,6 +115,62 @@ def _snap(
         seen.add(key)
         configs.append(config)
     return configs
+
+
+@dataclass(frozen=True)
+class _SnappedSupport:
+    """A surrogate's observed support snapped against one space object.
+
+    The request-independent half of :func:`rank_configs`, memoized on
+    the :class:`TrainedSurrogate` (``support_memo``) for the space
+    object and the constraint list it was built from.
+    """
+
+    space: ConfigurationSpace
+    constraints: Tuple[Any, ...]
+    configs: Tuple[Configuration, ...]
+    X: np.ndarray  # read-only, one unit row per config
+    seen: frozenset  # ``to_array().tobytes()`` of every config
+
+
+def _snapped_support(
+    trained: TrainedSurrogate, space: ConfigurationSpace
+) -> _SnappedSupport:
+    """The trained surrogate's support snapped to ``space``, decoded once.
+
+    A retrain builds a new :class:`TrainedSurrogate` and so starts with
+    no memo; the memo is never serialized.  Two threads that miss at
+    once both build it and store equal results, so no lock is needed.
+    """
+    memo = trained.support_memo
+    constraints = tuple(space.constraints())
+    if (
+        memo is not None
+        and memo.space is space
+        and memo.constraints == constraints
+    ):
+        global_metrics().inc("surrogate.support_memo.hit")
+        return memo
+    global_metrics().inc("surrogate.support_memo.miss")
+    seen: set = set()
+    configs = _snap(
+        space, np.asarray(trained.support_units, dtype=float), seen
+    )
+    X = (
+        np.stack([c.to_array() for c in configs])
+        if configs
+        else np.empty((0, len(space)))
+    )
+    X.setflags(write=False)
+    memo = _SnappedSupport(
+        space=space,
+        constraints=constraints,
+        configs=tuple(configs),
+        X=X,
+        seen=frozenset(seen),
+    )
+    trained.support_memo = memo
+    return memo
 
 
 def rank_configs(
@@ -134,25 +192,24 @@ def rank_configs(
     cliffs and serve crashing configurations.  Returns (config,
     predicted log ratio, relative std) triples, best-predicted first.
     Empty when the space's knob catalog no longer matches the
-    surrogate's, or the support is empty.
+    surrogate's, or the support is empty.  The snapped support comes
+    from :func:`_snapped_support`, so only scoring runs per request.
     """
     if tuple(space.names()) != trained.knob_names:
         return []
     if not trained.support_units:
         return []
+    support = _snapped_support(trained, space)
+    if not support.configs:
+        return []
     rng = np.random.default_rng(_seed_for(trained, seed))
     names = list(trained.knob_names)
     pruned = [names.index(k) for k in trained.top_knobs]
-
-    seen: set = set()
-    support = _snap(space, np.asarray(trained.support_units, dtype=float), seen)
-    if not support:
-        return []
-    X1 = np.stack([c.to_array() for c in support])
-    mu1, _ = trained.predict(X1, fingerprint)
+    X1 = support.X
+    mu, sd = trained.predict(X1, fingerprint)
 
     # Stage 2: local Gaussian refinement around the best predicted rows.
-    order = np.argsort(mu1, kind="stable")[: max(n_seeds, 0)]
+    order = np.argsort(mu, kind="stable")[: max(n_seeds, 0)]
     refined: List[Configuration] = []
     if len(order) and n_local > 0 and pruned:
         blocks = []
@@ -161,11 +218,14 @@ def rank_configs(
             block = np.tile(X1[i], (n_local, 1))
             block[:, pruned] = np.clip(block[:, pruned] + jitter, 0.0, 1.0)
             blocks.append(block)
-        refined = _snap(space, np.vstack(blocks), seen)
+        refined = _snap(space, np.vstack(blocks), set(support.seen))
 
-    configs = support + refined
-    X = np.stack([c.to_array() for c in configs])
-    mu, sd = trained.predict(X, fingerprint)
+    configs = support.configs
+    if refined:
+        # without refined rows the stage-1 scores are the answer
+        configs += tuple(refined)
+        X = np.vstack([X1, np.stack([c.to_array() for c in refined])])
+        mu, sd = trained.predict(X, fingerprint)
     ranked = np.argsort(mu, kind="stable")
     return [
         (

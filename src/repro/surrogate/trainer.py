@@ -10,7 +10,7 @@ JSON-serializable for the versioned registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,6 +94,12 @@ class TrainedSurrogate:
     #: local refinements of it — zero-probe serving never extrapolates
     #: into regions no session has survived.
     support_units: Tuple[Tuple[float, ...], ...]
+    #: Serving memo of :func:`repro.surrogate.recommend.rank_configs`:
+    #: ``support_units`` snapped against one configuration space.
+    #: Derived, so never serialized, compared or passed to a retrain.
+    support_memo: Any = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def features(
         self, X_knobs: np.ndarray, fingerprint: WorkloadFingerprint

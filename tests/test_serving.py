@@ -10,6 +10,7 @@ locks (one cold family must not serialize the others).
 
 import json
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +23,7 @@ from repro.core import Budget
 from repro.kb import KnowledgeBase, make_server
 from repro.kb.service import RecommendationService, ServiceError
 from repro.kb.serving import IngestWriter, Overloaded, ServingConfig
+from repro.obs.metrics import global_metrics
 from repro.surrogate import SurrogateStore
 from repro.systems.dbms import DbmsSimulator, olap_analytics, oltp_orders
 from repro.tuners import RandomSearchTuner
@@ -348,6 +350,63 @@ class TestExecutor:
         assert body["executor"]["queued"] <= body["executor"]["queue_limit"]
         assert body["ingest"]["closed"] is False
         assert body["kb"]["n_sessions"] == len(kb)
+
+
+# -- keep-alive replies: one write, no Nagle stall ----------------------------
+class TestKeepAlive:
+    def test_sequential_keep_alive_requests_are_fast(self, server):
+        """Header and body in separate writes made every keep-alive
+        reply wait ~40 ms on Nagle plus the client's delayed ACK."""
+        host, port = server.server_address[:2]
+        conn = HTTPConnection(host, port, timeout=10)
+        body = json.dumps({"workload": olap_analytics().name, "k": 2})
+        headers = {"Content-Type": "application/json"}
+
+        def round_trip(method, path, payload=None):
+            began = time.perf_counter()
+            conn.request(method, path, body=payload, headers=headers)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            return time.perf_counter() - began
+
+        try:
+            round_trip("GET", "/healthz")  # connect and warm the index
+            round_trip("POST", "/recommend", body)
+            healthz = [round_trip("GET", "/healthz") for _ in range(30)]
+            recommend = [round_trip("POST", "/recommend", body)
+                         for _ in range(30)]
+        finally:
+            conn.close()
+        assert np.median(healthz) < 0.010
+        assert np.median(recommend) < 0.010
+
+    def test_client_gone_mid_reply_is_counted_and_closed(self, kb):
+        server, thread = _serve(kb, service=_SlowService(kb, 0.3))
+        metrics = global_metrics()
+        before = metrics.value("kb.serve.client_disconnects")
+        try:
+            body = json.dumps({"workload": olap_analytics().name}).encode()
+            client = socket.create_connection(server.server_address[:2])
+            client.sendall(
+                b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + str(len(body)).encode()
+                + b"\r\n\r\n" + body
+            )
+            # leave with a reset while the reply is still being computed
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                              struct.pack("ii", 1, 0))
+            client.close()
+            deadline = time.monotonic() + 5
+            while (metrics.value("kb.serve.client_disconnects") == before
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert metrics.value("kb.serve.client_disconnects") == before + 1
+            # the server still answers new connections afterwards
+            status, _, _ = _request(server, "GET", "/healthz")
+            assert status == 200
+        finally:
+            _stop(server, thread)
 
 
 # -- tentpole: write-behind ingest queue --------------------------------------
