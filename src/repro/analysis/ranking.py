@@ -21,6 +21,7 @@ from scipy import stats
 from repro.core.parameters import ConfigurationSpace
 from repro.core.system import SystemUnderTune
 from repro.core.workload import Workload
+from repro.exceptions import ValidationError
 from repro.mlkit.linear import lasso_rank_features
 from repro.mlkit.sampling import latin_hypercube
 from repro.mlkit.tree import RandomForest
@@ -56,7 +57,7 @@ def sweep_importance(
         for value in param.grid(levels):
             try:
                 config = space.partial({name: value})
-            except Exception:
+            except ValidationError:
                 continue
             measurement = system.run(workload, config)
             if measurement.ok:

@@ -29,7 +29,7 @@ from repro.core.exact import builtin_max, builtin_min, emap
 from repro.exceptions import ConstraintViolation, ParameterError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.pool import CandidatePool
+    from repro.core.pool import CandidatePool, PoolLayout
 
 __all__ = [
     "Parameter",
@@ -526,9 +526,15 @@ class ConfigurationSpace:
         """
         from repro.core import pool
 
+        return pool.sample_pool(self, self.pool_layout(), n, rng, max_tries)
+
+    def pool_layout(self) -> "PoolLayout":
+        """Per-space data for :mod:`repro.core.pool`, built on first use."""
         if self._pool_layout is None:
-            self._pool_layout = pool.PoolLayout(self.parameters())
-        return pool.sample_pool(self, self._pool_layout, n, rng, max_tries)
+            from repro.core.pool import PoolLayout
+
+            self._pool_layout = PoolLayout(self.parameters())
+        return self._pool_layout
 
     # -- derived spaces -----------------------------------------------------
     def subspace(self, names: Sequence[str], name: str = "") -> "ConfigurationSpace":

@@ -69,7 +69,10 @@ from repro.core.parameters import (
 )
 from repro.exceptions import ConstraintViolation, ValidationError
 
-__all__ = ["CandidatePool", "PoolLayout", "lemire", "sample_pool", "scalar_pool"]
+__all__ = [
+    "CandidatePool", "PoolLayout", "jitter_pool", "lemire", "sample_pool",
+    "scalar_jitter", "scalar_pool",
+]
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _TWO32 = np.uint64(1 << 32)
@@ -80,6 +83,8 @@ _MAX_BLOCK = 4096
 _EXACT_TYPES = (NumericParameter, CategoricalParameter, BooleanParameter)
 #: Space methods whose scalar behaviour the matrix path reproduces.
 _SPACE_HOOKS = ("sample_configuration", "is_feasible", "check_constraints")
+#: ... and, for anchor jitter, the decode methods it replaces.
+_JITTER_HOOKS = _SPACE_HOOKS + ("from_array", "from_array_feasible")
 
 
 class CandidatePool(Sequence[Configuration]):
@@ -116,13 +121,24 @@ class CandidatePool(Sequence[Configuration]):
             X = np.zeros((0, space.dimension))
         return cls(space, X, configs)
 
-    def extend(self, configs: Sequence[Configuration]) -> "CandidatePool":
-        """A new pool with ``configs`` appended after this pool's rows."""
-        if not configs:
+    def extend(self, other: "CandidatePool") -> "CandidatePool":
+        """A new pool with ``other``'s rows after this pool's rows.
+
+        Rows of ``other`` not yet built stay lazy in the new pool.
+        """
+        if not len(other):
             return self
-        X = np.vstack([self.X, np.stack([c.to_array() for c in configs])])
+        if not len(self):
+            return other
+        offset = len(self)
+        head, tail = self._row_values, other._row_values
+
+        def row_values(i: int) -> Dict[str, Any]:
+            return head(i) if i < offset else tail(i - offset)
+
         return CandidatePool(
-            self.space, X, self._configs + list(configs), self._row_values
+            self.space, np.vstack([self.X, other.X]),
+            self._configs + other._configs, row_values,
         )
 
     def __len__(self) -> int:
@@ -387,14 +403,16 @@ class _Feasibility:
         return True
 
 
-def _matrix_path_applies(space, layout: PoolLayout, rng) -> bool:
+def _matrix_path_applies(
+    space, layout: PoolLayout, rng, hooks: Sequence[str] = _SPACE_HOOKS
+) -> bool:
     return (
         layout.exact
         and isinstance(rng, np.random.Generator)
         and type(rng.bit_generator) is np.random.PCG64
         and all(
             getattr(type(space), hook) is getattr(ConfigurationSpace, hook)
-            for hook in _SPACE_HOOKS
+            for hook in hooks
         )
     )
 
@@ -479,3 +497,70 @@ def _settle(bits, start: dict, period: _Period, raws: List[np.ndarray], attempts
     bits.state = dict(
         bits.state, has_uint32=int(period.pending_after[r]), uinteger=uinteger
     )
+
+
+def scalar_jitter(
+    space: ConfigurationSpace,
+    anchors: Sequence[Configuration],
+    rng: np.random.Generator,
+    scale: float,
+    repeats: int,
+) -> CandidatePool:
+    """The scalar loop :func:`jitter_pool` reproduces, as a pool."""
+    configs = []
+    for anchor in anchors:
+        base = anchor.to_array()
+        for _ in range(repeats):
+            x = np.clip(base + rng.normal(scale=scale, size=base.shape), 0.0, 1.0)
+            configs.append(space.from_array_feasible(x, rng))
+    return CandidatePool.from_configurations(space, configs)
+
+
+def jitter_pool(
+    space: ConfigurationSpace,
+    anchors: Sequence[Configuration],
+    rng: np.random.Generator,
+    scale: float,
+    repeats: int,
+) -> CandidatePool:
+    """``repeats`` Gaussian perturbations of each anchor, decoded.
+
+    Returns what :func:`scalar_jitter` returns and leaves ``rng`` in the
+    same state.  All perturbations are drawn as one ``(rows, d)`` normal
+    block, which is the stream of the scalar loop's per-row draws as
+    long as no row needs ``from_array_feasible``'s repair (the repair
+    draws from ``rng`` between rows).  The rows are decoded column-wise
+    and checked in order; the first infeasible row restores ``rng`` and
+    sends every anchor down the scalar loop, as do the conditions of
+    :func:`sample_pool`'s fallback and a space subclass that overrides
+    ``from_array`` or ``from_array_feasible``.  A predicate error
+    propagates with ``rng`` restored.
+    """
+    layout = space.pool_layout()
+    bases = [anchor.to_array() for anchor in anchors]
+    d = space.dimension
+    if (
+        not d
+        or any(base.shape != (d,) for base in bases)
+        or not _matrix_path_applies(space, layout, rng, _JITTER_HOOKS)
+    ):
+        return scalar_jitter(space, anchors, rng, scale, repeats)
+    bits = rng.bit_generator
+    start = bits.state
+    rows = len(anchors) * repeats
+    feasible = False
+    try:
+        noise = rng.normal(scale=scale, size=(rows, d))
+        X = np.clip(np.repeat(np.stack(bases), repeats, axis=0) + noise, 0.0, 1.0)
+        codes = [
+            p.index_from_unit_array(X[:, j]) if cat else p.from_unit_array(X[:, j])
+            for j, (p, cat) in enumerate(zip(layout.params, layout.categorical))
+        ]
+        check = _Feasibility(space, layout, codes, rows)
+        feasible = all(map(check, range(rows)))
+    finally:
+        if not feasible:
+            bits.state = start
+    if not feasible:
+        return scalar_jitter(space, anchors, rng, scale, repeats)
+    return CandidatePool(space, layout.encode(codes), [None] * rows, layout.rows(codes))

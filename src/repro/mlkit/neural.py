@@ -21,6 +21,25 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def _layer_views(
+    flat: np.ndarray, dims: Sequence[int]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per-layer ``(a, b)`` weight and ``(b,)`` bias views into ``flat``.
+
+    Every layer's weights (row-major) come first, then every layer's
+    biases, so ``flat[:n_weights]`` covers all weights at once.
+    """
+    weights, biases = [], []
+    at = 0
+    for a, b in zip(dims[:-1], dims[1:]):
+        weights.append(flat[at:at + a * b].reshape(a, b))
+        at += a * b
+    for b in dims[1:]:
+        biases.append(flat[at:at + b])
+        at += b
+    return weights, biases
+
+
 class MLPRegressor:
     """Fully-connected ReLU network with a linear output head.
 
@@ -46,6 +65,12 @@ class MLPRegressor:
     ):
         if any(h < 1 for h in hidden):
             raise ValueError("hidden widths must be >= 1")
+        if epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not lr > 0:
+            raise ValueError("lr must be > 0")
+        if not l2 >= 0:
+            raise ValueError("l2 must be >= 0")
         self.hidden = tuple(hidden)
         self.lr = lr
         self.epochs = epochs
@@ -58,13 +83,19 @@ class MLPRegressor:
         self._y_std = 1.0
         self.loss_curve_: List[float] = []
 
-    def _init_params(self, d_in: int) -> None:
+    def _init_params(self, dims: Sequence[int]) -> np.ndarray:
+        """Draw the initial weights; return the flat parameter vector.
+
+        ``_weights`` and ``_biases`` become per-layer views into the
+        returned vector (see :func:`_layer_views`), so one update of the
+        vector updates every layer.
+        """
         rng = np.random.default_rng(self.seed)
-        dims = [d_in, *self.hidden, 1]
-        self._weights, self._biases = [], []
-        for a, b in zip(dims[:-1], dims[1:]):
-            self._weights.append(rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b)))
-            self._biases.append(np.zeros(b))
+        theta = np.zeros(sum(a * b + b for a, b in zip(dims[:-1], dims[1:])))
+        self._weights, self._biases = _layer_views(theta, dims)
+        for W in self._weights:
+            W[...] = rng.normal(0.0, np.sqrt(2.0 / W.shape[0]), size=W.shape)
+        return theta
 
     def _forward(self, X: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
         acts = [X]
@@ -89,39 +120,50 @@ class MLPRegressor:
         self._y_std = std if std > 1e-12 else 1.0
         t = ((y - self._y_mean) / self._y_std)[:, None]
 
-        self._init_params(Z.shape[1])
-        m = [np.zeros_like(w) for w in self._weights]
-        v = [np.zeros_like(w) for w in self._weights]
-        mb = [np.zeros_like(b) for b in self._biases]
-        vb = [np.zeros_like(b) for b in self._biases]
+        dims = [Z.shape[1], *self.hidden, 1]
+        theta = self._init_params(dims)
+        # Gradients land in views of one flat vector laid out like
+        # ``theta``, so Adam runs as a handful of whole-vector ops.  Each
+        # element sees the per-layer update's arithmetic in its order.
+        g = np.empty_like(theta)
+        gw, gb = _layer_views(g, dims)
+        n_weights = sum(W.size for W in self._weights)
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        step_buf, scale_buf = np.empty_like(theta), np.empty_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         n = Z.shape[0]
-        self.loss_curve_ = []
+        errs = np.empty((self.epochs, n))
+        weights = self._weights
         for step in range(1, self.epochs + 1):
             pred, acts = self._forward(Z)
             err = pred - t
-            loss = float(np.mean(err ** 2))
-            self.loss_curve_.append(loss)
-            grad = 2.0 * err / n
-            gw: List[np.ndarray] = [None] * len(self._weights)  # type: ignore[list-item]
-            gb: List[np.ndarray] = [None] * len(self._biases)  # type: ignore[list-item]
-            delta = grad
-            for i in reversed(range(len(self._weights))):
-                gw[i] = acts[i].T @ delta + self.l2 * self._weights[i]
-                gb[i] = delta.sum(axis=0)
+            errs[step - 1] = err[:, 0]
+            delta = 2.0 * err / n
+            for i in reversed(range(len(weights))):
+                np.matmul(acts[i].T, delta, out=gw[i])
+                delta.sum(axis=0, out=gb[i])
                 if i > 0:
-                    delta = (delta @ self._weights[i].T) * (acts[i] > 0)
-            for i in range(len(self._weights)):
-                m[i] = beta1 * m[i] + (1 - beta1) * gw[i]
-                v[i] = beta2 * v[i] + (1 - beta2) * gw[i] ** 2
-                mb[i] = beta1 * mb[i] + (1 - beta1) * gb[i]
-                vb[i] = beta2 * vb[i] + (1 - beta2) * gb[i] ** 2
-                mh = m[i] / (1 - beta1 ** step)
-                vh = v[i] / (1 - beta2 ** step)
-                mbh = mb[i] / (1 - beta1 ** step)
-                vbh = vb[i] / (1 - beta2 ** step)
-                self._weights[i] -= self.lr * mh / (np.sqrt(vh) + eps)
-                self._biases[i] -= self.lr * mbh / (np.sqrt(vbh) + eps)
+                    delta = (delta @ weights[i].T) * (acts[i] > 0)
+            # Weight gradients: acts.T @ delta + l2 * W.
+            np.multiply(self.l2, theta[:n_weights], out=step_buf[:n_weights])
+            g[:n_weights] += step_buf[:n_weights]
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+            m *= beta1
+            np.multiply(1 - beta1, g, out=step_buf)
+            m += step_buf
+            v *= beta2
+            np.square(g, out=step_buf)
+            step_buf *= 1 - beta2
+            v += step_buf
+            # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+            np.divide(m, 1 - beta1 ** step, out=step_buf)
+            step_buf *= self.lr
+            np.divide(v, 1 - beta2 ** step, out=scale_buf)
+            np.sqrt(scale_buf, out=scale_buf)
+            scale_buf += eps
+            step_buf /= scale_buf
+            theta -= step_buf
+        self.loss_curve_ = np.mean(errs ** 2, axis=1).tolist()
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -16,6 +16,10 @@ from repro.exceptions import ModelNotFitted
 
 __all__ = ["RegressionTree", "RandomForest"]
 
+#: Split scans square partial sums of ``y``; below this bound no
+#: square, nor that of a difference of two partial sums, overflows.
+_POW_SAFE = 2.0 ** 510
+
 
 @dataclass
 class _Node:
@@ -137,30 +141,42 @@ class RegressionTree:
             return node
         n, d = X.shape
         parent_sse = float(((y - y.mean()) ** 2).sum())
+        feats = self._candidate_features(d)
+        # One stable sort and two prefix sums for every candidate
+        # feature at once; column c is what sorting feature feats[c]
+        # alone would give.
+        Xf = X[:, feats]
+        order = np.argsort(Xf, axis=0, kind="stable")
+        ys = y[order]
+        csum = np.cumsum(ys, axis=0)
+        columns = (
+            np.take_along_axis(Xf, order, axis=0).T,
+            csum.T,
+            np.cumsum(ys ** 2, axis=0).T,
+        )
+        if np.abs(csum).max() < _POW_SAFE:
+            columns = tuple(c.tolist() for c in columns)
+        # else: Python float ``**`` would raise OverflowError where the
+        # numpy scalar ``**`` returns inf, so scan numpy scalars.
         best_gain, best = 0.0, None
-        for j in self._candidate_features(d):
-            order = np.argsort(X[:, j], kind="stable")
-            xs, ys = X[order, j], y[order]
-            # Prefix sums for O(n) split evaluation along this feature.
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys ** 2)
-            total_sum, total_sq = csum[-1], csq[-1]
-            for i in range(self.min_samples_leaf, n - self.min_samples_leaf + 1):
-                if i < n and xs[i - 1] == xs[i]:
+        # min_samples_leaf >= 1, so every split leaves both sides
+        # non-empty.  The scan stays on scalars: scalar ``s ** 2`` is
+        # libm ``pow``, array ``**`` is ``s * s``, and the two differ in
+        # the last ulp often enough to change splits.
+        lo, hi = self.min_samples_leaf, n - self.min_samples_leaf
+        for j, xs, cs, cq in zip(feats.tolist(), *columns):
+            total_sum, total_sq = cs[-1], cq[-1]
+            for i in range(lo, hi + 1):
+                if xs[i - 1] == xs[i]:
                     continue
-                left_sse = csq[i - 1] - csum[i - 1] ** 2 / i
+                left_sse = cq[i - 1] - cs[i - 1] ** 2 / i
                 right_n = n - i
-                if right_n == 0:
-                    continue
-                rsum = total_sum - csum[i - 1]
-                rsq = total_sq - csq[i - 1]
+                rsum = total_sum - cs[i - 1]
+                rsq = total_sq - cq[i - 1]
                 right_sse = rsq - rsum ** 2 / right_n
                 gain = parent_sse - (left_sse + right_sse)
                 if gain > best_gain + 1e-12:
-                    threshold = (
-                        (xs[i - 1] + xs[i]) / 2.0 if i < n else xs[i - 1]
-                    )
-                    best_gain, best = gain, (j, threshold)
+                    best_gain, best = gain, (j, (xs[i - 1] + xs[i]) / 2.0)
         if best is None:
             return node
         j, threshold = best

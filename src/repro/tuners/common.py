@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core.measurement import Measurement, TuningHistory
 from repro.core.parameters import Configuration, ConfigurationSpace
-from repro.core.pool import CandidatePool
+from repro.core.pool import CandidatePool, jitter_pool
 from repro.core.session import TuningSession
 
 __all__ = [
@@ -193,10 +193,6 @@ def candidate_pool(
     ``X``; indexing the pool builds the proposed configuration.
     """
     pool = space.sample_pool(n_random, rng)
-    local: List[Configuration] = []
-    for anchor in anchors or []:
-        base = anchor.to_array()
-        for _ in range(16):
-            x = np.clip(base + rng.normal(scale=jitter, size=base.shape), 0.0, 1.0)
-            local.append(space.from_array_feasible(x, rng))
-    return pool.extend(local)
+    if not anchors:
+        return pool
+    return pool.extend(jitter_pool(space, anchors, rng, jitter, repeats=16))

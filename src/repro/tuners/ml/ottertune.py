@@ -35,7 +35,8 @@ from repro.core.parameters import Configuration, ConfigurationSpace
 from repro.core.registry import register_tuner
 from repro.core.system import SystemUnderTune
 from repro.core.workload import Workload
-from repro.exceptions import TuningError
+from repro.exceptions import TuningError, ValidationError
+from repro.exec.cache import Unfingerprintable
 from repro.exec.resilience import FAILURE_POLICIES
 from repro.mlkit.acquisition import expected_improvement
 from repro.mlkit.cluster import KMeans
@@ -110,7 +111,10 @@ class OtterTuneRepository:
             for session_id in grouped[name]:
                 try:
                     history = kb.history(session_id, space)
-                except Exception:
+                except (KeyError, ValueError, ValidationError):
+                    # An unreadable stored history: a missing row or
+                    # key, bad JSON or a bad runtime (ValueError), or
+                    # values this space rejects.
                     continue
                 for obs in history.finite_successful():
                     X_rows.append(obs.config.to_array())
@@ -266,7 +270,7 @@ def _sample_workloads(system, workloads, space, n_samples, rng, runner, cache):
                     try:
                         if cache.key_for(system, workload, c) not in cache:
                             cold.append(c)
-                    except Exception:
+                    except Unfingerprintable:
                         cold = []
                         break
                 if cold:
