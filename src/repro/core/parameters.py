@@ -9,9 +9,9 @@ The numeric encoding contract is central: every parameter can map its
 values into the unit interval ``[0, 1]`` (``to_unit``) and back
 (``from_unit``).  Search algorithms operate on unit-scaled vectors and
 remain agnostic of units, log scales, and integrality; the space handles
-rounding and snapping.  Column-wise counterparts (``from_unit_array``,
-``to_unit_array`` and the categorical index forms) decode and encode
-whole candidate pools bit-identically; see :mod:`repro.core.pool`.
+rounding and snapping.  :class:`~repro.core.pool.PoolLayout` decodes and
+encodes whole ``(n, d)`` blocks of unit vectors with the same
+per-element operations, bit-identically; see :mod:`repro.core.pool`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.exact import builtin_max, builtin_min, emap
 from repro.exceptions import ConstraintViolation, ParameterError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -165,36 +164,6 @@ class NumericParameter(Parameter):
             v = self.low + u * (self.high - self.low)
         return self.validate(min(self.high, max(self.low, v)))
 
-    def from_unit_array(self, u: np.ndarray) -> np.ndarray:
-        """Column-wise :meth:`from_unit`, bit-identical per element.
-
-        Returns float64 values, or int64 values for integer knobs.  The
-        linear map, clipping and rounding are exact in numpy; the log
-        map calls ``math.exp`` per element through
-        :func:`~repro.core.exact.emap`, as :meth:`from_unit` does.
-        """
-        u = builtin_min(1.0, builtin_max(0.0, np.asarray(u, dtype=float)))
-        if self.log_scale:
-            log_low = math.log(self.low)
-            v = emap(math.exp, log_low + u * (math.log(self.high) - log_low))
-        else:
-            v = self.low + u * (self.high - self.low)
-        v = builtin_min(self.high, builtin_max(self.low, v))
-        if not self.integer:
-            return v
-        v = builtin_min(
-            math.floor(self.high), builtin_max(math.ceil(self.low), np.rint(v))
-        )
-        return v.astype(np.int64)
-
-    def to_unit_array(self, values: np.ndarray) -> np.ndarray:
-        """Column-wise :meth:`to_unit` of already-valid values."""
-        v = np.asarray(values, dtype=float)
-        if self.log_scale:
-            log_low = math.log(self.low)
-            return (emap(math.log, v) - log_low) / (math.log(self.high) - log_low)
-        return (v - self.low) / (self.high - self.low)
-
     def sample(self, rng: np.random.Generator) -> Any:
         return self.from_unit(float(rng.random()))
 
@@ -246,21 +215,6 @@ class CategoricalParameter(Parameter):
         idx = int(round(u * (len(self.choices) - 1)))
         return self.choices[idx]
 
-    def index_from_unit_array(self, u: np.ndarray) -> np.ndarray:
-        """Column-wise :meth:`from_unit`, as int64 indices into ``choices``."""
-        u = builtin_min(1.0, builtin_max(0.0, np.asarray(u, dtype=float)))
-        return np.rint(u * (len(self.choices) - 1)).astype(np.int64)
-
-    def unit_from_index_array(self, idx: np.ndarray) -> np.ndarray:
-        """Column-wise :meth:`to_unit` of ``choices[idx]``.
-
-        :meth:`to_unit` encodes the *first* choice equal to the value,
-        so a choice equal to an earlier one (``0`` and ``False``) encodes
-        as that earlier one here too.
-        """
-        first = np.array([self.choices.index(c) for c in self.choices])
-        return first[np.asarray(idx)] / (len(self.choices) - 1)
-
     def sample(self, rng: np.random.Generator) -> Any:
         return self.choices[int(rng.integers(len(self.choices)))]
 
@@ -308,6 +262,10 @@ class Constraint:
         return f"Constraint({self.name!r})"
 
 
+def _value_hash(values: Mapping[str, Any]) -> int:
+    return hash(tuple(sorted((k, repr(v)) for k, v in values.items())))
+
+
 class Configuration(Mapping[str, Any]):
     """An immutable assignment of values to every parameter of a space.
 
@@ -315,7 +273,7 @@ class Configuration(Mapping[str, Any]):
     caches of measurements.
     """
 
-    __slots__ = ("_values", "_space", "_hash")
+    __slots__ = ("_values", "_space", "_hash", "_x")
 
     def __init__(self, space: "ConfigurationSpace", values: Mapping[str, Any]):
         normalized: Dict[str, Any] = {}
@@ -329,7 +287,36 @@ class Configuration(Mapping[str, Any]):
         space.check_constraints(normalized)
         self._values = normalized
         self._space = space
-        self._hash = hash(tuple(sorted((k, repr(v)) for k, v in normalized.items())))
+        self._hash = _value_hash(normalized)
+        self._x: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_checked_row(
+        cls,
+        space: "ConfigurationSpace",
+        values: Dict[str, Any],
+        x: np.ndarray,
+        value_hash: Optional[int] = None,
+    ) -> "Configuration":
+        """A configuration whose values were checked as part of a block.
+
+        For :mod:`repro.core.pool`, which validates every value and
+        checks every constraint once per ``(n, d)`` block instead of per
+        element.  ``values`` must hold exactly what the validating
+        constructor would store: one normalized value per parameter, in
+        space order, satisfying every constraint.  ``x`` is its unit
+        encoding, equal bitwise to ``space.to_array(values)``; it is
+        kept (not copied) and :meth:`to_array` returns copies of it.
+        ``value_hash``, if given, must be the hash of the
+        ``(name, repr(value))`` pairs sorted by name, as computed here
+        otherwise.
+        """
+        config = cls.__new__(cls)
+        config._values = values
+        config._space = space
+        config._hash = _value_hash(values) if value_hash is None else value_hash
+        config._x = x
+        return config
 
     @property
     def space(self) -> "ConfigurationSpace":
@@ -363,6 +350,8 @@ class Configuration(Mapping[str, Any]):
 
     def to_array(self) -> np.ndarray:
         """Unit-scaled vector in the space's parameter order."""
+        if self._x is not None:
+            return self._x.copy()
         return self._space.to_array(self)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -510,7 +499,14 @@ class ConfigurationSpace:
     def sample_configurations(
         self, n: int, rng: np.random.Generator
     ) -> List[Configuration]:
-        return [self.sample_configuration(rng) for _ in range(n)]
+        """``n`` :meth:`sample_configuration` calls, sampled as a block.
+
+        Configurations, errors and ``rng``'s state afterwards are those
+        of the scalar loop; see :func:`repro.core.pool.sample_configurations`.
+        """
+        from repro.core import pool
+
+        return pool.sample_configurations(self, n, rng)
 
     def sample_pool(
         self, n: int, rng: np.random.Generator, max_tries: int = 256

@@ -24,6 +24,7 @@ from repro.core.measurement import Measurement
 from repro.core.parameters import Configuration, ConfigurationSpace
 from repro.core.workload import Workload
 from repro.exceptions import WorkloadError
+from repro.exec.cache import Unfingerprintable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.cache import EvaluationCache
@@ -237,6 +238,7 @@ class InstrumentedSystem(SystemUnderTune):
             and len(configs) > 1
         ):
             pending: List[Configuration] = []
+            keys: List[Tuple[str, ...]] = []  # each pending's eval-cache key
             seen = set()
             for config in configs:
                 key = (workload.name, config)
@@ -253,13 +255,16 @@ class InstrumentedSystem(SystemUnderTune):
                         cache_key = self.eval_cache.key_for(
                             self.inner, workload, config
                         )
-                    except Exception:
+                    except Unfingerprintable:
+                        # Uncacheable system or workload: run() executes
+                        # each configuration itself, uncached.
                         pending = []
                         break
                     cached = self.eval_cache.lookup(cache_key)
                     if cached is not None:
                         self._prefetched[key] = cached
                         continue
+                    keys.append(cache_key)
                 seen.add(key)
                 pending.append(config)
             if pending:
@@ -274,17 +279,11 @@ class InstrumentedSystem(SystemUnderTune):
                     )
                 for config, measurement in zip(pending, measurements):
                     # Hand the value to run() via _prefetched (its miss
-                    # was already counted by the probe) and store it for
-                    # future batches' real hits.
+                    # was already counted by the probe) and store it
+                    # under the probe's key for future batches' real hits.
                     self._prefetched[(workload.name, config)] = measurement
-                    if self.eval_cache is not None:
-                        try:
-                            self.eval_cache.store(
-                                self.eval_cache.key_for(self.inner, workload, config),
-                                measurement,
-                            )
-                        except Exception:
-                            pass
+                for cache_key, measurement in zip(keys, measurements):
+                    self.eval_cache.store(cache_key, measurement)
         return [self.run(workload, config) for config in configs]
 
     def reset_counters(self) -> None:

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from repro.core.driver import Candidate, SearchState, SearchTuner
 from repro.core.parameters import Configuration
 from repro.core.registry import register_tuner
+from repro.exceptions import ValidationError
 
 __all__ = ["DefaultConfigTuner", "RandomSearchTuner", "GridSearchTuner"]
 
@@ -56,10 +57,8 @@ class RandomSearchTuner(SearchTuner):
 
     def ask(self, state: SearchState) -> Sequence[Candidate]:
         n = min(self.chunk, state.remaining_runs)
-        return [
-            Candidate(state.space.sample_configuration(state.rng), tag="random")
-            for _ in range(max(n, 1))
-        ]
+        configs = state.space.sample_configurations(max(n, 1), state.rng)
+        return [Candidate(config, tag="random") for config in configs]
 
 
 @register_tuner("grid-search")
@@ -100,8 +99,8 @@ class GridSearchTuner(SearchTuner):
             if idx == len(names):
                 try:
                     configs.append(space.partial(overrides))
-                except Exception:
-                    pass  # infeasible grid corner
+                except ValidationError:
+                    pass  # infeasible grid corner (ConstraintViolation)
                 return
             for value in grids[names[idx]]:
                 overrides[names[idx]] = value

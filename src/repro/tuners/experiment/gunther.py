@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.driver import Candidate, SearchState, SearchTuner
 from repro.core.measurement import Observation
+from repro.core.pool import decode_feasible
 from repro.core.registry import register_tuner
 from repro.tuners.common import ResponseReplay
 
@@ -102,8 +103,10 @@ class GeneticTuner(SearchTuner):
                 return []
             self._gen0_asked = True
             return [
-                Candidate(space.sample_configuration(rng), tag=f"gen0-{i}")
-                for i in range(self.population - 1)
+                Candidate(config, tag=f"gen0-{i}")
+                for i, config in enumerate(
+                    space.sample_configurations(self.population - 1, rng)
+                )
             ]
         d = space.dimension
         scored = sorted(self._scored, key=lambda item: item[0])
@@ -121,12 +124,10 @@ class GeneticTuner(SearchTuner):
                 child,
             )
             next_pop.append(child)
+        children = decode_feasible(space, np.stack(next_pop[self.elite:]), rng)
         return [
-            Candidate(
-                space.from_array_feasible(x, rng),
-                tag=f"gen{self._generation}-{i}",
-            )
-            for i, x in enumerate(next_pop[self.elite:])
+            Candidate(config, tag=f"gen{self._generation}-{i}")
+            for i, config in enumerate(children)
         ]
 
     def finish(self, state: SearchState) -> None:

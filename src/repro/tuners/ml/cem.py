@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.driver import Candidate, SearchState, SearchTuner
 from repro.core.measurement import Observation
+from repro.core.pool import gaussian_configurations
 from repro.core.registry import register_tuner
 from repro.tuners.common import ResponseReplay
 
@@ -97,17 +98,13 @@ class CrossEntropyTuner(SearchTuner):
         if self._stop:
             return []
         self._started = True
-        space, rng = state.space, state.rng
-        candidates = []
-        for i in range(self.batch):
-            x = np.clip(rng.normal(self._mean, self._std), 0.0, 1.0)
-            candidates.append(
-                Candidate(
-                    space.from_array_feasible(x, rng),
-                    tag=f"cem-g{self._generation}-{i}",
-                )
-            )
-        return candidates
+        configs = gaussian_configurations(
+            state.space, self._mean, self._std, self.batch, state.rng
+        )
+        return [
+            Candidate(config, tag=f"cem-g{self._generation}-{i}")
+            for i, config in enumerate(configs)
+        ]
 
     def finish(self, state: SearchState) -> None:
         state.extras["cem_generations"] = self._generation

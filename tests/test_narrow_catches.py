@@ -1,21 +1,27 @@
-"""Tolerated failures on the model-tuner path are narrow.
+"""Tolerated failures on the tuner and evaluation paths are narrow.
 
 Each site below skips one kind of expected failure — an unreadable
 stored history, a system the evaluation cache cannot key, an
-infeasible sweep point — and nothing else: an unexpected exception
-(here a monkeypatched ``TypeError``) propagates instead of silently
+infeasible sweep point or grid corner — and nothing else: an
+unexpected exception (here a monkeypatched plain ``TypeError``, or a
+constraint that divides by zero) propagates instead of silently
 switching a feature off.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.analysis import sweep_importance
-from repro.core import Budget, ConfigurationSpace
+from repro.core import (
+    Budget, ConfigurationSpace, InstrumentedSystem, NumericParameter,
+    make_constraint,
+)
 from repro.exec.cache import EvaluationCache, Unfingerprintable
 from repro.kb import KnowledgeBase
 from repro.systems.dbms import DbmsSimulator, olap_analytics, oltp_orders
-from repro.tuners import OtterTuneRepository, RandomSearchTuner
+from repro.tuners import GridSearchTuner, OtterTuneRepository, RandomSearchTuner
 from repro.tuners.ml.ottertune import _sample_workloads
 
 
@@ -125,3 +131,74 @@ class TestSweepImportance:
         monkeypatch.setattr(ConfigurationSpace, "partial", reject_last)
         scores = sweep_importance(system, olap_analytics(), levels=3, knobs=[name])
         assert set(scores) == {name}
+
+
+class TestRunBatchCacheProbe:
+    """``InstrumentedSystem.run_batch`` keys each configuration once."""
+
+    @staticmethod
+    def _batch():
+        # A fresh simulator: the cache marks systems it cannot key.
+        system = DbmsSimulator()
+        wrapped = InstrumentedSystem(system, eval_cache=EvaluationCache(), vectorize=True)
+        configs = system.config_space.sample_configurations(4, np.random.default_rng(1))
+        return wrapped.run_batch(olap_analytics(), configs)
+
+    def test_unfingerprintable_system_runs_uncached(self, monkeypatch):
+        expected = self._batch()
+        monkeypatch.setattr(
+            EvaluationCache, "key_for", _raise(Unfingerprintable("live state"))
+        )
+        assert [m.runtime_s for m in self._batch()] == [m.runtime_s for m in expected]
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # Only the batch probe's first key fails; a swallowed error would
+        # let the per-configuration runs key (and succeed) on their own.
+        key_for = EvaluationCache.key_for
+        calls = []
+
+        def fail_first(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise TypeError("bug")  # a plain TypeError, not Unfingerprintable
+            return key_for(self, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationCache, "key_for", fail_first)
+        with pytest.raises(TypeError, match="bug") as info:
+            self._batch()
+        assert type(info.value) is TypeError
+
+    def test_one_key_per_configuration(self, monkeypatch):
+        key_for = EvaluationCache.key_for
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return key_for(self, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationCache, "key_for", counting)
+        assert len(self._batch()) == 4
+        assert len(calls) == 4
+
+
+class TestGridSearch:
+    @staticmethod
+    def _ask(predicate):
+        space = ConfigurationSpace([
+            NumericParameter("x", 5.0, 0.0, 10.0),
+            NumericParameter("y", 5.0, 0.0, 10.0),
+        ])
+        space.add_constraint(make_constraint("rule", ("x", "y"), predicate))
+        state = SimpleNamespace(space=space)
+        tuner = GridSearchTuner(levels=3, n_knobs=2)
+        tuner.setup(state)
+        return tuner.ask(state)
+
+    def test_infeasible_grid_corner_is_skipped(self):
+        candidates = self._ask(lambda v: v["x"] + v["y"] < 15.0)
+        # The 3 x 3 grid over {0, 5, 10} minus (10, 10), (10, 5), (5, 10).
+        assert len(candidates) == 6
+
+    def test_predicate_error_propagates(self):
+        with pytest.raises(ZeroDivisionError):
+            self._ask(lambda v: 1.0 / (10.0 - v["x"]) > 0.0)
